@@ -18,7 +18,7 @@
 
 use haccs_bench::demo;
 use haccs_codec::CodecKind;
-use haccs_coord::{accept_remote_clients, haccs_cached_recluster_hook, Coordinator};
+use haccs_coord::{accept_remote_clients, haccs_recluster_hook, Coordinator};
 use haccs_core::ExtractionMethod;
 use haccs_fedsim::engine::{ModelFactory, SnapshotPolicy};
 use haccs_fedsim::Selector;
@@ -274,7 +274,7 @@ fn main() {
     match opts.selector {
         SelectorKind::HaccsPy => {
             let coord = build_coord(&opts, obs, demo::selector(opts.clients)).with_recluster_hook(
-                haccs_cached_recluster_hook(demo::summarizer(), 2, ExtractionMethod::Auto),
+                haccs_recluster_hook(demo::summarizer(), 2, ExtractionMethod::Auto),
             );
             serve(&opts, coord);
         }

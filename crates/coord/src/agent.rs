@@ -3,19 +3,13 @@
 //! about a client arrives as an encoded [`Message`] inside an
 //! [`Envelope`].
 //!
-//! The protocol body lives in [`AgentState`] — a frame-in/envelope-out
-//! state machine with **no thread of its own**. Two runtimes drive it:
-//!
-//! * [`spawn`] wraps it in a dedicated OS thread blocking on an mpsc
-//!   downlink (the legacy thread-per-agent runtime, kept as the parity
-//!   reference behind `Coordinator::threaded`, and the body TCP clients
-//!   run via [`run_agent`]);
-//! * the sharded event-loop core (`crate::shard`) multiplexes thousands
-//!   of `AgentState`s over a fixed worker pool.
-//!
-//! Because both runtimes execute the *same* state machine, their envelope
-//! streams are identical frame for frame — which is what lets the sharded
-//! core stay bit-identical to the threaded runtime.
+//! The protocol body lives in `AgentState` — a frame-in/envelope-out
+//! state machine with **no thread of its own**. The sharded event-loop
+//! core (`crate::shard`) multiplexes thousands of them over a fixed worker
+//! pool; a socket client (`haccs-client`) drives one on its own thread via
+//! [`run_agent`]. Both execute the *same* state machine, so a remote
+//! client's envelope stream is identical frame for frame to the one its
+//! in-process counterpart would produce.
 //!
 //! Transport split:
 //!
@@ -27,7 +21,7 @@
 //!   `(seed, stream_id, attempt)` — so the coordinator's loss/retry/byte
 //!   accounting is bit-identical to the loop engine's
 //!   [`haccs_fedsim::round::simulate_heartbeats`] even though frames here
-//!   are really produced by racing threads.
+//!   are really produced by racing workers.
 
 use bytes::Bytes;
 use haccs_codec::CodecKind;
@@ -42,7 +36,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 // The uplink types grew up here but now live in `haccs-wire` (they cross
 // process boundaries via `Envelope::encode`); re-exported so every
@@ -85,7 +78,7 @@ pub struct AgentConfig {
     pub codec: Option<CodecKind>,
 }
 
-/// Builds a model instance shared across agent threads.
+/// Builds a model instance shared across pool workers.
 pub type SharedModelFactory = Arc<dyn Fn() -> Sequential + Send + Sync>;
 
 fn reliable(msg: &Message) -> TransmitOutcome {
@@ -111,27 +104,11 @@ fn lossy(channel: &FaultyChannel, msg: &Message, stream_id: u64) -> TransmitOutc
     }
 }
 
-/// Spawns the agent thread. It immediately sends `Join` (summary +
+/// Runs one agent on the calling thread: sends `Join` (summary +
 /// resource estimate), then serves downlink frames until the coordinator
-/// drops the downlink sender or the agent departs via `Leave`.
-pub fn spawn(
-    cfg: AgentConfig,
-    data: ClientData,
-    profile: DeviceProfile,
-    factory: SharedModelFactory,
-    summarizer: Summarizer,
-    downlink: Receiver<Bytes>,
-    uplink: Sender<Envelope>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("haccs-agent-{}", cfg.id))
-        .spawn(move || agent_main(cfg, data, profile, factory, summarizer, downlink, uplink))
-        .expect("spawn agent thread")
-}
-
-/// Runs the agent loop on the calling thread. This is the same body
-/// [`spawn`] runs; exposed so socket clients (`haccs-client`) can drive
-/// the identical protocol over mpsc junctions bridged to a TCP stream.
+/// drops the downlink sender or the agent departs via `Leave`. Socket
+/// clients (`haccs-client`) drive the protocol this way over mpsc
+/// junctions bridged to a TCP stream.
 pub fn run_agent(
     cfg: AgentConfig,
     data: ClientData,
@@ -141,7 +118,20 @@ pub fn run_agent(
     downlink: Receiver<Bytes>,
     uplink: Sender<Envelope>,
 ) {
-    agent_main(cfg, data, profile, factory, summarizer, downlink, uplink)
+    let mut state = AgentState::new(cfg, data, profile, summarizer);
+    // a send error means the coordinator is gone; the agent just exits
+    let _ = uplink.send(state.join());
+    let mut model = factory();
+
+    // serve the coordinator until the downlink closes or the agent leaves
+    while let Ok(frame) = downlink.recv() {
+        if let Some(env) = state.on_frame(frame, &mut model) {
+            let _ = uplink.send(env);
+        }
+        if state.departed() {
+            return; // the agent winds down after Leave
+        }
+    }
 }
 
 /// The agent protocol as a frame-in/envelope-out state machine: all the
@@ -227,7 +217,7 @@ impl AgentState {
     /// set before use and carry no state between calls.
     pub(crate) fn on_frame(&mut self, frame: Bytes, model: &mut Sequential) -> Option<Envelope> {
         if self.departed {
-            return None; // the threaded runtime's wound-down thread
+            return None; // a wound-down agent ignores late frames
         }
         let cfg = &self.cfg;
         let msg = Message::decode(frame).expect("coordinator sent an undecodable frame");
@@ -321,31 +311,6 @@ impl AgentState {
                 Some(self.envelope(out))
             }
             other => panic!("agent {} received unexpected frame {other:?}", cfg.id),
-        }
-    }
-}
-
-fn agent_main(
-    cfg: AgentConfig,
-    data: ClientData,
-    profile: DeviceProfile,
-    factory: SharedModelFactory,
-    summarizer: Summarizer,
-    downlink: Receiver<Bytes>,
-    uplink: Sender<Envelope>,
-) {
-    let mut state = AgentState::new(cfg, data, profile, summarizer);
-    // a send error means the coordinator is gone; the agent just exits
-    let _ = uplink.send(state.join());
-    let mut model = factory();
-
-    // serve the coordinator until the downlink closes or the agent leaves
-    while let Ok(frame) = downlink.recv() {
-        if let Some(env) = state.on_frame(frame, &mut model) {
-            let _ = uplink.send(env);
-        }
-        if state.departed() {
-            return; // the thread winds down after Leave
         }
     }
 }

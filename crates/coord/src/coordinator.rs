@@ -1,5 +1,6 @@
 //! The message-driven coordinator: federated rounds executed entirely
-//! through the wire protocol against agent threads.
+//! through the wire protocol against client agents multiplexed on the
+//! sharded event-loop core (`crate::shard`).
 //!
 //! Structure of one round (the state machine mirrors DESIGN.md §8):
 //!
@@ -12,7 +13,8 @@
 //!
 //! ## Determinism
 //!
-//! Agents race on OS threads, yet two same-seed runs are bit-identical:
+//! Agents race on pool worker threads (and remote clients on their
+//! sockets), yet two same-seed runs are bit-identical:
 //!
 //! 1. every batch of uplink envelopes is drained through an
 //!    [`EventQueue`] ordered by `(time, client, seq)`, where `time` is a
@@ -29,10 +31,10 @@
 //! `(seed, stream_id, attempt)` shared with the loop engine's analytic
 //! accounting, so retries/losses/bytes also match the engine exactly.
 
-use crate::agent::{self, AgentConfig, AgentState, Envelope, SharedModelFactory, TransmitOutcome};
+use crate::agent::{AgentConfig, AgentState, Envelope, SharedModelFactory, TransmitOutcome};
 use crate::events::{EventQueue, QueueFull};
-use crate::registry::{ClientEntry, ClientRegistry, Liveness, Registry, ShardedRegistry};
-use crate::shard::{EventCore, ShardConfig, ShardedAggregator};
+use crate::registry::{ClientEntry, Liveness, ShardedRegistry};
+use crate::shard::{EventCore, ShardConfig};
 use haccs_codec::CodecKind;
 use haccs_data::{ClientData, FederatedDataset, ImageSet};
 use haccs_fedsim::engine::{
@@ -83,42 +85,6 @@ struct PendingJoin {
     leave_after: Option<u64>,
 }
 
-struct AgentHandle {
-    downlink: Option<Sender<bytes::Bytes>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// How the coordinator runs its client agents.
-///
-/// The **event** backend is the default: thread-free [`AgentState`]
-/// machines multiplexed over a fixed worker pool (`crate::shard`), with a
-/// hash-[`ShardedRegistry`] and hierarchical per-shard aggregation. Its OS
-/// thread count is independent of federation size, which is what lets one
-/// process host 100k+ clients.
-///
-/// The **threaded** backend ([`Coordinator::threaded`]) is the legacy
-/// thread-per-agent runtime, kept as the parity reference: both backends
-/// drive the same `AgentState` protocol machine through the same
-/// [`EventQueue`], so their round histories are bit-identical (pinned by
-/// `tests/sharded_parity.rs`).
-enum AgentRuntime {
-    /// One OS thread + mpsc downlink per agent (legacy; parity reference).
-    Threaded { agents: Vec<AgentHandle> },
-    /// Worker-pool event loop. `core` spawns lazily at first enrollment so
-    /// builder methods can still shape the layout.
-    Event { core: Option<EventCore>, shard_cfg: ShardConfig },
-}
-
-impl AgentRuntime {
-    /// Agents ever registered (including departed/tombstoned slots).
-    fn spawned(&self) -> usize {
-        match self {
-            AgentRuntime::Threaded { agents } => agents.len(),
-            AgentRuntime::Event { core, .. } => core.as_ref().map_or(0, |c| c.spawned()),
-        }
-    }
-}
-
 /// A coordinator-level runtime failure surfaced to the caller instead of
 /// silently degrading the round. Returned by [`Coordinator::try_run_round`];
 /// [`Coordinator::run_round`] panics on it.
@@ -150,8 +116,7 @@ impl std::error::Error for CoordError {
 /// The server-side half of one connected remote client, produced by a
 /// transport bridge (see `crate::net`): the sender whose frames the
 /// bridge's writer pump carries to the client, plus the pump thread
-/// itself (joined when the coordinator drops, exactly like a local agent
-/// thread).
+/// itself (joined when the coordinator's event core drops).
 pub struct RemoteLink {
     /// Downlink frame sender; dropping it makes the pump half-close the
     /// connection, which the remote agent observes as an orderly EOF.
@@ -202,62 +167,28 @@ fn sample_eval_set(global_test: &ImageSet, cfg: &SimConfig) -> ImageSet {
     }
 }
 
-/// The §IV-C re-clustering hook for [`HaccsSelector`], **full-rebuild
-/// edition**: recompute the entire O(n²) Hellinger matrix and rerun
-/// OPTICS from scratch on every membership change. Kept as the reference
-/// implementation the incremental hook is tested bit-identical against
-/// (and the baseline the recluster bench times); production callers get
-/// [`haccs_cached_recluster_hook`] via
-/// [`Coordinator::with_haccs_reclustering`].
+/// The §IV-C re-clustering hook for [`HaccsSelector`]: a
+/// [`haccs_core::ClusterCache`] built with
+/// [`haccs_core::ClusterCache::two_level`] (default
+/// [`haccs_core::TwoLevelConfig`]) lives inside the closure and diffs the
+/// registry's membership view on every invocation. Below `flat_below`
+/// members a churn event costs one recomputed distance row plus a
+/// warm-start OPTICS pass, with groups bit-identical to a from-scratch
+/// [`haccs_core::cluster_wire_summaries`] rebuild (pinned by the churn
+/// parity suites); past the threshold the cache promotes to sketch
+/// buckets and re-clustering cost is bounded by data diversity instead of
+/// O(n²) in the member count (DESIGN.md §15).
 pub fn haccs_recluster_hook(
     summarizer: Summarizer,
     min_pts: usize,
     extraction: haccs_core::ExtractionMethod,
 ) -> impl FnMut(&mut haccs_core::HaccsSelector, &[(usize, WireSummary)]) {
-    move |sel, entries| {
-        let groups = haccs_core::cluster_wire_summaries(&summarizer, entries, min_pts, extraction);
-        if !groups.is_empty() {
-            sel.recluster(groups);
-        }
-    }
-}
-
-/// The §IV-C re-clustering hook for [`HaccsSelector`], **incremental
-/// edition**: a [`haccs_core::ClusterCache`] lives inside the closure and
-/// diffs the registry's membership view on every invocation, so a churn
-/// event costs one recomputed distance row plus a warm-start OPTICS pass
-/// instead of the full O(n²) rebuild. Produces bit-identical groups to
-/// [`haccs_recluster_hook`] — pinned by the churn parity suite.
-pub fn haccs_cached_recluster_hook(
-    summarizer: Summarizer,
-    min_pts: usize,
-    extraction: haccs_core::ExtractionMethod,
-) -> impl FnMut(&mut haccs_core::HaccsSelector, &[(usize, WireSummary)]) {
-    let mut cache = haccs_core::ClusterCache::new(summarizer, min_pts, extraction);
-    move |sel, entries| {
-        cache.sync_wire(entries);
-        let groups = cache.recluster();
-        if !groups.is_empty() {
-            sel.recluster(groups);
-        }
-    }
-}
-
-/// The §IV-C re-clustering hook for [`HaccsSelector`], **two-level
-/// edition** (DESIGN.md §15): like [`haccs_cached_recluster_hook`], but
-/// the embedded [`haccs_core::ClusterCache`] is built with
-/// [`haccs_core::ClusterCache::two_level`]. Below
-/// `cfg.flat_below` members it runs the flat incremental path verbatim
-/// (bit-identical to the cached hook); past the threshold it promotes to
-/// sketch buckets and re-clustering cost is bounded by data diversity
-/// (cells per bucket) instead of O(n²) in the member count.
-pub fn haccs_two_level_recluster_hook(
-    summarizer: Summarizer,
-    min_pts: usize,
-    extraction: haccs_core::ExtractionMethod,
-    cfg: haccs_core::TwoLevelConfig,
-) -> impl FnMut(&mut haccs_core::HaccsSelector, &[(usize, WireSummary)]) {
-    let mut cache = haccs_core::ClusterCache::two_level(summarizer, min_pts, extraction, cfg);
+    let mut cache = haccs_core::ClusterCache::two_level(
+        summarizer,
+        min_pts,
+        extraction,
+        haccs_core::TwoLevelConfig::default(),
+    );
     move |sel, entries| {
         cache.sync_wire(entries);
         let groups = cache.recluster();
@@ -291,8 +222,12 @@ pub struct Coordinator<S: Selector> {
     summarizer: Summarizer,
     summary_seed: u64,
     selector: S,
-    registry: Registry,
-    runtime: AgentRuntime,
+    registry: ShardedRegistry,
+    /// The agent runtime: thread-free [`AgentState`] machines multiplexed
+    /// over a fixed worker pool. Spawned lazily at first enrollment so
+    /// builder methods can still shape the layout.
+    core: Option<EventCore>,
+    shard_cfg: ShardConfig,
     /// Bound on each envelope-collection [`EventQueue`]; overflow is a
     /// [`CoordError::EventQueueFull`], counted in
     /// `coord_event_queue_dropped_total`.
@@ -380,10 +315,9 @@ impl<S: Selector> Coordinator<S> {
     /// are spawned lazily at the first round so builder methods can still
     /// shape the wire before any channel exists.
     ///
-    /// Runs on the sharded **event-loop backend** (fixed worker pool,
-    /// hash-sharded registry, hierarchical aggregation) — bit-identical
-    /// to the legacy [`Coordinator::threaded`] runtime but with an OS
-    /// thread count independent of federation size.
+    /// Agents run on the sharded event-loop core: a fixed worker pool and
+    /// a hash-sharded registry, so the OS thread count is independent of
+    /// federation size.
     pub fn new(
         factory: ModelFactory,
         fed: FederatedDataset,
@@ -394,97 +328,23 @@ impl<S: Selector> Coordinator<S> {
         selector: S,
     ) -> Self {
         assert_eq!(fed.clients.len(), profiles.len(), "one profile per client");
-        assert!(cfg.k >= 1, "k must be at least 1");
-        assert!(cfg.eval_every >= 1);
-        let global_model = factory();
-        let global_params = global_model.get_params();
-
-        // identical eval-set sampling to the loop engine (same seed salt)
-        let eval_set = sample_eval_set(&fed.global_test, &cfg);
-
         let pending: Vec<PendingJoin> = fed
             .clients
             .into_iter()
             .zip(profiles)
             .map(|(data, profile)| PendingJoin { data, profile, leave_after: None })
             .collect();
-        let (uplink_tx, uplink_rx) = mpsc::channel();
-
-        Coordinator {
-            factory: Arc::from(factory),
-            global_params,
-            latency,
-            availability,
-            cfg,
-            clock: SimClock::new(),
-            eval_model: global_model,
-            eval_set,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            epoch: 0,
-            result: RunResult::default(),
-            faults: FaultModel::none(cfg.seed),
-            policy: RoundPolicy::default(),
-            hb_policy: HeartbeatPolicy::default(),
-            summarizer: Summarizer::label_dist(),
-            summary_seed: cfg.seed ^ 0xD9,
-            selector,
-            registry: Registry::Sharded(ShardedRegistry::new(ShardConfig::default().n_shards)),
-            runtime: AgentRuntime::Event { core: None, shard_cfg: ShardConfig::default() },
-            event_capacity: DEFAULT_EVENT_CAPACITY,
-            pending,
-            remote_profiles: None,
-            pending_remote: Vec::new(),
-            uplink_tx,
-            uplink_rx,
-            phase: RoundPhase::Enrolling,
-            membership_dirty: false,
-            snapshots: None,
-            segmented: None,
-            codec: None,
-            obs: Recorder::disabled(),
-            recluster_hook: None,
-        }
+        Self::build(factory, &fed.global_test, pending, None, latency, availability, cfg, selector)
     }
 
-    /// [`Coordinator::new`] on the legacy **thread-per-agent backend**:
-    /// one OS thread and one mpsc downlink per client, with the flat
-    /// [`ClientRegistry`]. Kept as the parity reference the sharded
-    /// event-loop core is pinned bit-identical against
-    /// (`tests/sharded_parity.rs`); prefer [`Coordinator::new`] everywhere
-    /// else — the threaded runtime cannot scale past a few thousand
-    /// clients.
-    pub fn threaded(
-        factory: ModelFactory,
-        fed: FederatedDataset,
-        profiles: Vec<DeviceProfile>,
-        latency: LatencyModel,
-        availability: Availability,
-        cfg: SimConfig,
-        selector: S,
-    ) -> Self {
-        let mut c = Self::new(factory, fed, profiles, latency, availability, cfg, selector);
-        c.runtime = AgentRuntime::Threaded { agents: Vec::new() };
-        c.registry = Registry::Flat(ClientRegistry::new());
-        c
-    }
-
-    /// Overrides the event backend's shard/worker layout (builder style;
+    /// Overrides the event core's shard/worker layout (builder style;
     /// before the first round). Layout never changes results — shard
-    /// routing only regroups commutative work and the aggregation merge is
-    /// admission-order pinned — so this is a performance knob only.
-    /// Panics on a [`Coordinator::threaded`] runtime, which has no shards.
+    /// routing only regroups commutative work and FedAvg admits in
+    /// selection order — so this is a performance knob only.
     pub fn with_shard_layout(mut self, layout: ShardConfig) -> Self {
         self.assert_unspawned("shard layout");
-        match &mut self.runtime {
-            AgentRuntime::Event { core, shard_cfg } => {
-                debug_assert!(core.is_none(), "unspawned coordinator cannot have a core");
-                *shard_cfg = layout;
-                self.registry = Registry::Sharded(ShardedRegistry::new(layout.n_shards));
-            }
-            AgentRuntime::Threaded { .. } => {
-                panic!("shard layout applies to the event backend, not Coordinator::threaded")
-            }
-        }
+        self.shard_cfg = layout;
+        self.registry = ShardedRegistry::new(layout.n_shards);
         self
     }
 
@@ -499,13 +359,9 @@ impl<S: Selector> Coordinator<S> {
         self
     }
 
-    /// The event backend's shard/worker layout (`None` on the legacy
-    /// threaded runtime).
-    pub fn shard_layout(&self) -> Option<ShardConfig> {
-        match &self.runtime {
-            AgentRuntime::Event { shard_cfg, .. } => Some(*shard_cfg),
-            AgentRuntime::Threaded { .. } => None,
-        }
+    /// The event core's shard/worker layout.
+    pub fn shard_layout(&self) -> ShardConfig {
+        self.shard_cfg
     }
 
     /// Assembles a coordinator whose clients live in **other processes**,
@@ -524,12 +380,40 @@ impl<S: Selector> Coordinator<S> {
         cfg: SimConfig,
         selector: S,
     ) -> Self {
+        Self::build(
+            factory,
+            &global_test,
+            Vec::new(),
+            Some(profiles),
+            latency,
+            availability,
+            cfg,
+            selector,
+        )
+    }
+
+    /// The construction shared by [`Coordinator::new`] (local clients
+    /// queued in `pending`) and [`Coordinator::remote`] (`remote_profiles`
+    /// set, clients attached later).
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        factory: ModelFactory,
+        global_test: &ImageSet,
+        pending: Vec<PendingJoin>,
+        remote_profiles: Option<Vec<DeviceProfile>>,
+        latency: LatencyModel,
+        availability: Availability,
+        cfg: SimConfig,
+        selector: S,
+    ) -> Self {
         assert!(cfg.k >= 1, "k must be at least 1");
         assert!(cfg.eval_every >= 1);
         let global_model = factory();
         let global_params = global_model.get_params();
-        let eval_set = sample_eval_set(&global_test, &cfg);
+        // identical eval-set sampling to the loop engine (same seed salt)
+        let eval_set = sample_eval_set(global_test, &cfg);
         let (uplink_tx, uplink_rx) = mpsc::channel();
+        let shard_cfg = ShardConfig::default();
         Coordinator {
             factory: Arc::from(factory),
             global_params,
@@ -548,11 +432,12 @@ impl<S: Selector> Coordinator<S> {
             summarizer: Summarizer::label_dist(),
             summary_seed: default_summary_seed(cfg.seed),
             selector,
-            registry: Registry::Sharded(ShardedRegistry::new(ShardConfig::default().n_shards)),
-            runtime: AgentRuntime::Event { core: None, shard_cfg: ShardConfig::default() },
+            registry: ShardedRegistry::new(shard_cfg.n_shards),
+            core: None,
+            shard_cfg,
             event_capacity: DEFAULT_EVENT_CAPACITY,
-            pending: Vec::new(),
-            remote_profiles: Some(profiles),
+            pending,
+            remote_profiles,
             pending_remote: Vec::new(),
             uplink_tx,
             uplink_rx,
@@ -584,8 +469,13 @@ impl<S: Selector> Coordinator<S> {
         self.pending_remote.push((id, link));
     }
 
+    /// Agents ever registered (including departed/tombstoned slots).
+    fn spawned(&self) -> usize {
+        self.core.as_ref().map_or(0, EventCore::spawned)
+    }
+
     fn assert_unspawned(&self, what: &str) {
-        assert!(self.runtime.spawned() == 0, "{what} must be configured before the first round");
+        assert!(self.spawned() == 0, "{what} must be configured before the first round");
     }
 
     /// Attaches a fault schedule (builder style; before the first round).
@@ -759,7 +649,7 @@ impl<S: Selector> Coordinator<S> {
     /// first heartbeat probe of a round `>= round` where the device is
     /// available, its agent sends `Leave` and winds down.
     pub fn with_leave_after(mut self, id: usize, round: u64) -> Self {
-        let base = self.runtime.spawned();
+        let base = self.spawned();
         let slot = id
             .checked_sub(base)
             .and_then(|i| self.pending.get_mut(i))
@@ -772,7 +662,7 @@ impl<S: Selector> Coordinator<S> {
     /// re-clustering hook fires — at the next round boundary. Returns the
     /// id the client will enroll under.
     pub fn add_client(&mut self, data: ClientData, profile: DeviceProfile) -> usize {
-        let id = self.runtime.spawned() + self.pending.len();
+        let id = self.spawned() + self.pending.len();
         self.pending.push(PendingJoin { data, profile, leave_after: None });
         id
     }
@@ -809,7 +699,7 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// The membership/liveness registry.
-    pub fn registry(&self) -> &Registry {
+    pub fn registry(&self) -> &ShardedRegistry {
         &self.registry
     }
 
@@ -845,110 +735,35 @@ impl<S: Selector> Coordinator<S> {
     // transport plumbing
     // ------------------------------------------------------------------
 
+    /// The running event core. Every dispatch happens after enrollment
+    /// spawned it.
+    fn core(&self) -> &EventCore {
+        self.core.as_ref().expect("no agents spawned yet")
+    }
+
+    /// The event core, spawning its worker pool on first use.
+    fn core_mut(&mut self) -> &mut EventCore {
+        let (cfg, factory, uplink) = (self.shard_cfg, &self.factory, &self.uplink_tx);
+        self.core.get_or_insert_with(|| EventCore::new(cfg, Arc::clone(factory), uplink.clone()))
+    }
+
     fn send_to(&self, id: usize, msg: &Message) {
-        match &self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                if let Some(tx) = &agents[id].downlink {
-                    // a send error means the agent already wound down
-                    let _ = tx.send(msg.encode());
-                }
-            }
-            AgentRuntime::Event { core, .. } => {
-                core.as_ref().expect("no agents spawned yet").dispatch(id, msg.encode());
-            }
-        }
+        self.core().dispatch(id, msg.encode());
     }
 
-    /// Fans one message out to `ids`. On the event backend the frame is
-    /// encoded **once** and cohort-dispatched (one channel send per pool
-    /// worker); the threaded backend degrades to per-agent sends. Same
-    /// bytes reach every recipient either way.
+    /// Fans one message out to `ids`: the frame is encoded **once** and
+    /// cohort-dispatched (one channel send per pool worker).
     fn broadcast(&self, ids: &[usize], msg: &Message) {
-        if ids.is_empty() {
-            return;
-        }
-        match &self.runtime {
-            AgentRuntime::Threaded { .. } => {
-                for &id in ids {
-                    self.send_to(id, msg);
-                }
-            }
-            AgentRuntime::Event { core, .. } => {
-                core.as_ref().expect("no agents spawned yet").dispatch_cohort(ids, msg.encode());
-            }
+        if !ids.is_empty() {
+            self.core().dispatch_cohort(ids, msg.encode());
         }
     }
 
-    /// Spawns a local agent on whichever backend this coordinator runs:
-    /// a dedicated thread, or a state machine handed to the worker pool.
-    /// Either way the agent's `Join` is in flight when this returns.
+    /// Hands a local agent's state machine to the worker pool; its `Join`
+    /// is in flight when this returns.
     fn spawn_local_agent(&mut self, acfg: AgentConfig, data: ClientData, profile: DeviceProfile) {
-        let summarizer = self.summarizer;
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                let (down_tx, down_rx) = mpsc::channel();
-                let thread = agent::spawn(
-                    acfg,
-                    data,
-                    profile,
-                    Arc::clone(&self.factory),
-                    summarizer,
-                    down_rx,
-                    self.uplink_tx.clone(),
-                );
-                agents.push(AgentHandle { downlink: Some(down_tx), thread: Some(thread) });
-            }
-            AgentRuntime::Event { core, shard_cfg } => {
-                let core = core.get_or_insert_with(|| {
-                    EventCore::new(*shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-                });
-                let id = acfg.id;
-                core.spawn_agent(id, AgentState::new(acfg, data, profile, summarizer));
-            }
-        }
-    }
-
-    /// Registers a connected remote client's bridge under `id` — on the
-    /// event backend this routes the TCP accept path onto the same event
-    /// loop the inline agents ride.
-    fn attach_remote_agent(&mut self, id: usize, link: RemoteLink) {
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                agents.push(AgentHandle { downlink: Some(link.downlink), thread: link.pump });
-            }
-            AgentRuntime::Event { core, shard_cfg } => {
-                let core = core.get_or_insert_with(|| {
-                    EventCore::new(*shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-                });
-                core.attach_remote(id, link.downlink, link.pump);
-            }
-        }
-    }
-
-    /// Registers a restore-time tombstone slot for a client that departed
-    /// before the snapshot: no agent, frames to it are dropped.
-    fn push_tombstone_agent(&mut self) {
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                agents.push(AgentHandle { downlink: None, thread: None });
-            }
-            AgentRuntime::Event { core, shard_cfg } => {
-                let core = core.get_or_insert_with(|| {
-                    EventCore::new(*shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-                });
-                core.push_tombstone();
-            }
-        }
-    }
-
-    /// Closes a departed/evicted client's downlink on either backend.
-    fn detach_agent(&mut self, id: usize) {
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => agents[id].downlink = None,
-            AgentRuntime::Event { core, .. } => {
-                core.as_mut().expect("no agents spawned yet").detach(id);
-            }
-        }
+        let state = AgentState::new(acfg, data, profile, self.summarizer);
+        self.core_mut().spawn_agent(state.id(), state);
     }
 
     fn recv_envelope(&self) -> Envelope {
@@ -978,26 +793,22 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// Per-shard queue-depth telemetry: how many of one collection's
-    /// envelopes each registry shard contributed. Event backend only (the
-    /// flat registry has a single shard, already covered by the global
-    /// depth histogram).
+    /// envelopes each registry shard contributed.
     fn observe_shard_depths(&self, drained: &[(usize, TransmitOutcome)]) {
         if !self.obs.is_enabled() {
             return;
         }
-        if let Registry::Sharded(reg) = &self.registry {
-            let mut depth = vec![0usize; reg.shard_count()];
-            for &(id, _) in drained {
-                depth[reg.shard_for(id)] += 1;
-            }
-            for (shard, &d) in depth.iter().enumerate() {
-                self.obs.observe_with(
-                    "coord_shard_queue_depth",
-                    haccs_obs::metrics::SHARD_QUEUE_DEPTH,
-                    d as f64,
-                );
-                self.obs.gauge(&format!("coord_shard_queue_depth{{shard=\"{shard}\"}}"), d as f64);
-            }
+        let mut depth = vec![0usize; self.registry.shard_count()];
+        for &(id, _) in drained {
+            depth[self.registry.shard_for(id)] += 1;
+        }
+        for (shard, &d) in depth.iter().enumerate() {
+            self.obs.observe_with(
+                "coord_shard_queue_depth",
+                haccs_obs::metrics::SHARD_QUEUE_DEPTH,
+                d as f64,
+            );
+            self.obs.gauge(&format!("coord_shard_queue_depth{{shard=\"{shard}\"}}"), d as f64);
         }
     }
 
@@ -1074,7 +885,7 @@ impl<S: Selector> Coordinator<S> {
             let mut spawn_meta: HashMap<usize, (DeviceProfile, Option<usize>)> = HashMap::new();
 
             for p in batch {
-                let id = self.runtime.spawned();
+                let id = self.spawned();
                 spawn_meta.insert(id, (p.profile, Some(p.data.train.len())));
                 let acfg = AgentConfig {
                     id,
@@ -1095,7 +906,7 @@ impl<S: Selector> Coordinator<S> {
             for (id, link) in remote_batch {
                 assert_eq!(
                     id,
-                    self.runtime.spawned(),
+                    self.spawned(),
                     "remote clients must cover a dense id range (missing attach_remote?)"
                 );
                 let profile = self
@@ -1103,7 +914,7 @@ impl<S: Selector> Coordinator<S> {
                     .as_ref()
                     .expect("pending_remote implies remote construction")[id];
                 spawn_meta.insert(id, (profile, None));
-                self.attach_remote_agent(id, link);
+                self.core_mut().attach_remote(id, link.downlink, link.pump);
             }
 
             // Joins arrive in racing order; the queue restores id order
@@ -1133,9 +944,9 @@ impl<S: Selector> Coordinator<S> {
             }
 
             // enrollment sync: push the current global model (unscheduled,
-            // one encode cohort-dispatched on the event backend), agents
-            // probe their loss and ack — the round-0 loss signal the loop
-            // engine gets from its construction-time probe pass
+            // one encode cohort-dispatched), agents probe their loss and
+            // ack — the round-0 loss signal the loop engine gets from its
+            // construction-time probe pass
             let push =
                 Message::ModelPush { round: self.epoch as u64, params: self.global_params.clone() };
             self.broadcast(&new_ids, &push);
@@ -1177,22 +988,20 @@ impl<S: Selector> Coordinator<S> {
         Ok(())
     }
 
-    /// Per-shard membership gauges (event backend): how many live entries
-    /// each registry shard holds after an enrollment wave.
+    /// Per-shard membership gauges: how many live entries each registry
+    /// shard holds after an enrollment wave.
     fn observe_shard_membership(&self) {
         if !self.obs.is_enabled() {
             return;
         }
-        if let Registry::Sharded(reg) = &self.registry {
-            for shard in 0..reg.shard_count() {
-                let members = reg
-                    .shard_entries(shard)
-                    .iter()
-                    .filter(|e| e.liveness != Liveness::Left)
-                    .count();
-                self.obs
-                    .gauge(&format!("coord_shard_members{{shard=\"{shard}\"}}"), members as f64);
-            }
+        for shard in 0..self.registry.shard_count() {
+            let members = self
+                .registry
+                .shard_entries(shard)
+                .iter()
+                .filter(|e| e.liveness != Liveness::Left)
+                .count();
+            self.obs.gauge(&format!("coord_shard_members{{shard=\"{shard}\"}}"), members as f64);
         }
     }
 
@@ -1448,17 +1257,8 @@ impl<S: Selector> Coordinator<S> {
             }
         }
 
-        // FedAvg + server-side telemetry. The event backend commits
-        // hierarchically: per-shard partial buffers merged by admission
-        // order — the same float sequence as the flat fedavg, bit for bit
-        // (see `ShardedAggregator::merge_into`).
-        match &self.runtime {
-            AgentRuntime::Threaded { .. } => acc.fedavg(&mut self.global_params),
-            AgentRuntime::Event { shard_cfg, .. } => {
-                ShardedAggregator::from_admissions(&acc.updates, shard_cfg.n_shards)
-                    .merge_into(&mut self.global_params);
-            }
-        }
+        // FedAvg in admission order + server-side telemetry
+        acc.fedavg(&mut self.global_params);
         for u in &acc.updates {
             self.mark_entry_dirty(u.id);
             let e = self.registry.get_mut(u.id);
@@ -1565,32 +1365,25 @@ impl<S: Selector> Coordinator<S> {
         }
     }
 
-    /// The ids probed by this round's heartbeat sweep. The flat (threaded)
-    /// backend probes every non-departed client; the event backend walks
-    /// the registry **per shard**, letting a shard-staggered
-    /// [`HeartbeatPolicy`] (see
-    /// [`HeartbeatPolicy::with_shard_stagger`]) rotate probe load across
-    /// shards. With staggering off (the default) every shard probes on the
-    /// flat cadence, so the two backends probe the identical id set — one
-    /// of the invariants the parity suite pins.
+    /// The ids probed by this round's heartbeat sweep, walked **per
+    /// shard** so a shard-staggered [`HeartbeatPolicy`] (see
+    /// [`HeartbeatPolicy::with_shard_stagger`]) can rotate probe load
+    /// across shards. With staggering off (the default) every shard probes
+    /// on the flat cadence, so the probed set is every non-departed client
+    /// whatever the layout — one of the invariants the parity suite pins.
     fn probe_targets(&self, epoch: usize) -> Vec<usize> {
-        match (&self.runtime, &self.registry) {
-            (AgentRuntime::Event { .. }, Registry::Sharded(reg)) => {
-                let n_shards = reg.shard_count();
-                let mut probed: Vec<usize> = Vec::new();
-                for shard in 0..n_shards {
-                    if self.hb_policy.probes_shard_in_round(epoch as u64, shard, n_shards) {
-                        probed.extend(reg.probed_ids_in_shard(shard));
-                    }
-                }
-                // per-shard walks come out shard-grouped; restore the flat
-                // sweep's ascending id order (transitions for distinct ids
-                // commute, but identical order keeps parity trivial)
-                probed.sort_unstable();
-                probed
+        let n_shards = self.registry.shard_count();
+        let mut probed: Vec<usize> = Vec::new();
+        for shard in 0..n_shards {
+            if self.hb_policy.probes_shard_in_round(epoch as u64, shard, n_shards) {
+                probed.extend(self.registry.probed_ids_in_shard(shard));
             }
-            _ => self.registry.probed_ids(),
         }
+        // per-shard walks come out shard-grouped; restore ascending id
+        // order (transitions for distinct ids commute, but one fixed order
+        // keeps layouts trivially equivalent)
+        probed.sort_unstable();
+        probed
     }
 
     /// Probes every non-departed client, collects acks/`Leave`s from the
@@ -1609,8 +1402,7 @@ impl<S: Selector> Coordinator<S> {
             .filter(|&id| self.availability.is_available(id, epoch))
             .collect();
 
-        // one probe frame for everyone: cohort-dispatched on the event
-        // backend, per-agent sends on the threaded one
+        // one probe frame for everyone, cohort-dispatched
         let probe = Message::Heartbeat { client_nonce: 0, round: epoch as u64, last_loss: 0.0 };
         self.broadcast(&probed, &probe);
         let mut out = SweepOutcome {
@@ -1664,7 +1456,7 @@ impl<S: Selector> Coordinator<S> {
         for id in leaves {
             self.registry.observe_leave(id);
             self.mark_entry_dirty(id);
-            self.detach_agent(id); // the agent already wound itself down
+            self.core_mut().detach(id); // the agent already wound itself down
             self.membership_dirty = true;
             self.obs
                 .event("coord.liveness")
@@ -1681,7 +1473,7 @@ impl<S: Selector> Coordinator<S> {
             self.mark_entry_dirty(id);
             match self.registry.observe_miss(id, &self.hb_policy) {
                 LivenessVerdict::Evicted => {
-                    self.detach_agent(id);
+                    self.core_mut().detach(id);
                     self.membership_dirty = true;
                     self.obs
                         .event("coord.liveness")
@@ -1774,14 +1566,13 @@ impl<S: Selector> Coordinator<S> {
         w.put_u64(self.summary_seed);
         w.put_usize(self.registry.len());
         // NOTE: deliberately no shard layout here. The layout is a pure
-        // performance knob, so snapshot bytes stay layout-free: a
-        // threaded coordinator and a sharded one in any configuration
-        // write identical snapshots and restore each other's
-        // (`tests/sharded_parity.rs` pins both directions). Pre-shard
-        // snapshots are rejected by the container version gate instead
-        // (`haccs_persist::VERSION`). The same holds for the segmented
-        // path's snapshot-shard count: a manifest reassembles to these
-        // exact bytes whatever granularity wrote it.
+        // performance knob, so snapshot bytes stay layout-free:
+        // coordinators in any shard/worker configuration write identical
+        // snapshots and restore each other's (`tests/sharded_parity.rs`
+        // pins this). Pre-shard snapshots are rejected by the container
+        // version gate instead (`haccs_persist::VERSION`). The same holds
+        // for the segmented path's snapshot-shard count: a manifest
+        // reassembles to these exact bytes whatever granularity wrote it.
         // mutable core state
         w.put_usize(self.epoch);
         w.put_f64(self.clock.now());
@@ -2023,29 +1814,21 @@ impl<S: Selector> Coordinator<S> {
     /// profiles, seed, policies, selector construction) and must not have
     /// run a round yet. Live clients' agents are spawned seeded with
     /// their snapshot-time losses; departed clients become registry
-    /// tombstones with no agent thread, exactly as the uninterrupted
+    /// tombstones with no agent, exactly as the uninterrupted
     /// coordinator would hold them.
     ///
     /// On any [`PersistError`] the coordinator should be discarded — the
     /// restore is not transactional.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.runtime.spawned() == 0 && self.registry.is_empty(),
+            self.spawned() == 0 && self.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
-        let snap = self.parse_snapshot(bytes, self.pending.len())?;
-        let ParsedSnapshot {
-            epoch,
-            now,
-            rng_state,
-            global_params,
-            result,
-            membership_dirty,
-            restored,
-        } = snap;
+        let mut snap = self.parse_snapshot(bytes, self.pending.len())?;
+        let restored = std::mem::take(&mut snap.restored);
 
-        // everything parsed — validate shard sizes before spawning threads
+        // everything parsed — validate shard sizes before spawning agents
         for (id, p) in self.pending.iter().enumerate() {
             if p.data.train.len() != restored[id].n_train {
                 return Err(PersistError::Malformed(format!(
@@ -2066,7 +1849,7 @@ impl<S: Selector> Coordinator<S> {
         for (id, p) in batch.into_iter().enumerate() {
             spawn_meta.insert(id, (p.profile, p.data.train.len()));
             if restored[id].liveness == Liveness::Left {
-                self.push_tombstone_agent();
+                self.core_mut().push_tombstone();
                 continue;
             }
             n_live += 1;
@@ -2097,45 +1880,63 @@ impl<S: Selector> Coordinator<S> {
         }
         for (id, re) in restored.into_iter().enumerate() {
             let (profile, n_train) = spawn_meta[&id];
-            let (nonce, resources) = joins.remove(&id).unwrap_or_else(|| {
-                // departed client: reconstruct what its Join carried
-                (
-                    nonce_for(self.cfg.seed, id),
-                    ResourceEstimate {
-                        compute_multiplier: profile.compute_multiplier as f32,
-                        bandwidth_mbps: profile.bandwidth_mbps as f32,
-                        rtt_ms: profile.rtt_ms as f32,
-                        n_train: n_train as u32,
-                    },
-                )
-            });
-            self.registry.enroll(ClientEntry {
-                id,
-                nonce,
-                profile,
-                resources,
-                summary: re.summary,
-                n_train,
-                last_loss: re.last_loss,
-                participation_count: re.participation_count,
-                liveness: Liveness::Joined,
-                missed_heartbeats: 0,
-            });
-            // enroll() forces Alive; restore the snapshot's truth
-            let e = self.registry.get_mut(id);
-            e.liveness = re.liveness;
-            e.missed_heartbeats = re.missed_heartbeats;
+            let join = joins.remove(&id);
+            self.enroll_restored(id, re, profile, n_train, join);
         }
-
-        self.epoch = epoch;
-        self.clock = SimClock::new();
-        self.clock.advance(now);
-        self.rng = StdRng::from_state(rng_state);
-        self.global_params = global_params;
-        self.result = result;
-        self.membership_dirty = membership_dirty;
-        self.phase = RoundPhase::Committed;
+        self.commit_snapshot(snap);
         Ok(())
+    }
+
+    /// Enrolls one restored client with its snapshot-time state. `join`
+    /// is what the client's re-sent `Join` carried; a departed client
+    /// sends none, so its nonce and resource estimate are reconstructed
+    /// exactly as its original `Join` had them.
+    fn enroll_restored(
+        &mut self,
+        id: usize,
+        re: RestoredEntry,
+        profile: DeviceProfile,
+        n_train: usize,
+        join: Option<(u64, ResourceEstimate)>,
+    ) {
+        let (nonce, resources) = join.unwrap_or_else(|| {
+            let resources = ResourceEstimate {
+                compute_multiplier: profile.compute_multiplier as f32,
+                bandwidth_mbps: profile.bandwidth_mbps as f32,
+                rtt_ms: profile.rtt_ms as f32,
+                n_train: n_train as u32,
+            };
+            (nonce_for(self.cfg.seed, id), resources)
+        });
+        self.registry.enroll(ClientEntry {
+            id,
+            nonce,
+            profile,
+            resources,
+            summary: re.summary,
+            n_train,
+            last_loss: re.last_loss,
+            participation_count: re.participation_count,
+            liveness: Liveness::Joined,
+            missed_heartbeats: 0,
+        });
+        // enroll() forces Alive; restore the snapshot's truth
+        let e = self.registry.get_mut(id);
+        e.liveness = re.liveness;
+        e.missed_heartbeats = re.missed_heartbeats;
+    }
+
+    /// Installs a parsed snapshot's core state (clock, RNG, model,
+    /// history) — the last step of every restore path.
+    fn commit_snapshot(&mut self, snap: ParsedSnapshot) {
+        self.epoch = snap.epoch;
+        self.clock = SimClock::new();
+        self.clock.advance(snap.now);
+        self.rng = StdRng::from_state(snap.rng_state);
+        self.global_params = snap.global_params;
+        self.result = snap.result;
+        self.membership_dirty = snap.membership_dirty;
+        self.phase = RoundPhase::Committed;
     }
 
     /// [`Coordinator::restore`] for a [`Coordinator::remote`]: every
@@ -2147,7 +1948,7 @@ impl<S: Selector> Coordinator<S> {
     /// echo exactly what an uninterrupted agent would have reported.
     pub fn restore_remote(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.runtime.spawned() == 0 && self.registry.is_empty(),
+            self.spawned() == 0 && self.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
@@ -2155,16 +1956,8 @@ impl<S: Selector> Coordinator<S> {
             .remote_profiles
             .clone()
             .expect("restore_remote on a coordinator not built via Coordinator::remote");
-        let snap = self.parse_snapshot(bytes, profiles.len())?;
-        let ParsedSnapshot {
-            epoch,
-            now,
-            rng_state,
-            global_params,
-            result,
-            membership_dirty,
-            restored,
-        } = snap;
+        let mut snap = self.parse_snapshot(bytes, profiles.len())?;
+        let restored = std::mem::take(&mut snap.restored);
 
         // install the reconnected links: live ids get their bridge, Left
         // ids a tombstone handle — same shape as the local restore
@@ -2177,13 +1970,13 @@ impl<S: Selector> Coordinator<S> {
                     links.remove(&id).is_none(),
                     "client {id} departed before the snapshot but reconnected"
                 );
-                self.push_tombstone_agent();
+                self.core_mut().push_tombstone();
             } else {
                 let link = links.remove(&id).unwrap_or_else(|| {
                     panic!("live client {id} must reconnect before restore_remote")
                 });
                 n_live += 1;
-                self.attach_remote_agent(id, link);
+                self.core_mut().attach_remote(id, link.downlink, link.pump);
             }
         }
         assert!(links.is_empty(), "attached ids beyond the snapshot's client range");
@@ -2201,125 +1994,42 @@ impl<S: Selector> Coordinator<S> {
         }
         let mut resume_sync: Vec<(usize, f32)> = Vec::with_capacity(n_live);
         for (id, re) in restored.into_iter().enumerate() {
-            let profile = profiles[id];
-            let live = re.liveness != Liveness::Left;
-            let (nonce, resources) = joins.remove(&id).unwrap_or_else(|| {
-                // departed client: reconstruct what its Join carried
-                (
-                    nonce_for(self.cfg.seed, id),
-                    ResourceEstimate {
-                        compute_multiplier: profile.compute_multiplier as f32,
-                        bandwidth_mbps: profile.bandwidth_mbps as f32,
-                        rtt_ms: profile.rtt_ms as f32,
-                        n_train: re.n_train as u32,
-                    },
-                )
-            });
-            if live && resources.n_train as usize != re.n_train {
-                return Err(PersistError::Malformed(format!(
-                    "client {id} reconnected with {} training examples, snapshot says {}",
-                    resources.n_train, re.n_train
-                )));
-            }
-            if live {
+            let join = joins.remove(&id);
+            if let Some((_, resources)) = &join {
+                if resources.n_train as usize != re.n_train {
+                    return Err(PersistError::Malformed(format!(
+                        "client {id} reconnected with {} training examples, snapshot says {}",
+                        resources.n_train, re.n_train
+                    )));
+                }
                 resume_sync.push((id, re.last_loss.unwrap_or(0.0)));
             }
-            self.registry.enroll(ClientEntry {
-                id,
-                nonce,
-                profile,
-                resources,
-                summary: re.summary,
-                n_train: re.n_train,
-                last_loss: re.last_loss,
-                participation_count: re.participation_count,
-                liveness: Liveness::Joined,
-                missed_heartbeats: 0,
-            });
-            let e = self.registry.get_mut(id);
-            e.liveness = re.liveness;
-            e.missed_heartbeats = re.missed_heartbeats;
+            let n_train = re.n_train;
+            self.enroll_restored(id, re, profiles[id], n_train, join);
         }
 
         // bring the survivors up to date before any probe can reach them
         // (the downlink is FIFO, so ResumeSync lands first)
         for (id, last_loss) in resume_sync {
-            self.send_to(id, &Message::ResumeSync { round: epoch as u64, last_loss });
+            self.send_to(id, &Message::ResumeSync { round: snap.epoch as u64, last_loss });
         }
-
-        self.epoch = epoch;
-        self.clock = SimClock::new();
-        self.clock.advance(now);
-        self.rng = StdRng::from_state(rng_state);
-        self.global_params = global_params;
-        self.result = result;
-        self.membership_dirty = membership_dirty;
-        self.phase = RoundPhase::Committed;
+        self.commit_snapshot(snap);
         Ok(())
-    }
-}
-
-impl<S: Selector> Drop for Coordinator<S> {
-    fn drop(&mut self) {
-        // closing every downlink unblocks the agent loops; join so no
-        // thread outlives the runtime. The event backend tears itself down
-        // in `EventCore::drop` (workers + remote pumps).
-        if let AgentRuntime::Threaded { agents } = &mut self.runtime {
-            for a in agents.iter_mut() {
-                a.downlink = None;
-            }
-            for a in agents.iter_mut() {
-                if let Some(t) = a.thread.take() {
-                    let _ = t.join();
-                }
-            }
-        }
     }
 }
 
 // HaccsSelector-specific convenience so callers don't need to thread the
 // concrete type through `with_recluster_hook` themselves.
 impl Coordinator<HaccsSelector> {
-    /// Installs [`haccs_cached_recluster_hook`] — the incremental
-    /// distance-cache path — with the coordinator's own summarizer. This
-    /// is the default §IV-C wiring; it is bit-identical to the
-    /// full-rebuild [`Self::with_haccs_full_reclustering`] (the churn
-    /// parity suite pins this) but each membership change costs one
-    /// recomputed distance row instead of the whole matrix.
+    /// Installs [`haccs_recluster_hook`] with the coordinator's own
+    /// summarizer — the §IV-C wiring for HACCS.
     pub fn with_haccs_reclustering(
         self,
         min_pts: usize,
         extraction: haccs_core::ExtractionMethod,
     ) -> Self {
         let summarizer = self.summarizer;
-        self.with_recluster_hook(haccs_cached_recluster_hook(summarizer, min_pts, extraction))
-    }
-
-    /// Installs the from-scratch [`haccs_recluster_hook`] — the reference
-    /// implementation the incremental path is verified against.
-    pub fn with_haccs_full_reclustering(
-        self,
-        min_pts: usize,
-        extraction: haccs_core::ExtractionMethod,
-    ) -> Self {
-        let summarizer = self.summarizer;
         self.with_recluster_hook(haccs_recluster_hook(summarizer, min_pts, extraction))
-    }
-
-    /// Installs [`haccs_two_level_recluster_hook`] — the sub-quadratic
-    /// sketch-bucketed path (DESIGN.md §15). Bit-identical to
-    /// [`Self::with_haccs_reclustering`] while the membership stays below
-    /// `cfg.flat_below`.
-    pub fn with_haccs_two_level_reclustering(
-        self,
-        min_pts: usize,
-        extraction: haccs_core::ExtractionMethod,
-        cfg: haccs_core::TwoLevelConfig,
-    ) -> Self {
-        let summarizer = self.summarizer;
-        self.with_recluster_hook(haccs_two_level_recluster_hook(
-            summarizer, min_pts, extraction, cfg,
-        ))
     }
 }
 
@@ -2442,7 +2152,7 @@ mod tests {
     #[test]
     fn restore_preserves_eviction_tombstones() {
         // client 0 is evicted (Left) before the snapshot; the resumed
-        // coordinator must hold the tombstone without an agent thread and
+        // coordinator must hold the tombstone without an agent and
         // still match the uninterrupted run
         let hb = HeartbeatPolicy::new(1, 2, 3);
         let build = || build_coord(4, Availability::permanent([0])).with_heartbeat(hb);
@@ -2679,7 +2389,7 @@ mod tests {
         c.run(2);
         let snap = c.snapshot();
         drop(c);
-        // the TopK residuals live in the (now dead) agent threads, so a
+        // the TopK residuals live in the (now dead) agents, so a
         // coordinator-side resume cannot reconstruct the codec state
         let mut resumed = build_coord(4, Availability::AlwaysOn).with_codec(topk);
         match resumed.restore(&snap) {

@@ -1,6 +1,6 @@
 //! Deterministic event ordering for the coordinator.
 //!
-//! Agent threads race: envelopes arrive on the shared uplink channel in
+//! Agents race: envelopes arrive on the shared uplink channel in
 //! whatever order the OS scheduler produces. The coordinator never acts on
 //! raw arrival order — every batch of envelopes is first pushed into an
 //! [`EventQueue`] keyed by `(time, client_id, seq)` and drained in that

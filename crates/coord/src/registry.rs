@@ -61,145 +61,18 @@ pub struct ClientEntry {
     pub missed_heartbeats: u32,
 }
 
-/// Registry of every client that ever joined. Ids are dense and never
-/// reused; departed clients stay as `Left` tombstones.
-#[derive(Debug, Default)]
-pub struct ClientRegistry {
-    entries: Vec<ClientEntry>,
-    by_nonce: HashMap<u64, usize>,
-}
-
-impl ClientRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of clients ever enrolled (including `Left` tombstones).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Reserves the next registry id for a spawning agent.
-    pub fn next_id(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Records a processed `Join`. The entry starts `Alive`: the frame
-    /// itself is evidence of liveness.
-    pub fn enroll(&mut self, mut entry: ClientEntry) -> usize {
-        assert_eq!(entry.id, self.entries.len(), "registry ids must be dense");
-        entry.liveness = Liveness::Alive;
-        entry.missed_heartbeats = 0;
-        self.by_nonce.insert(entry.nonce, entry.id);
-        let id = entry.id;
-        self.entries.push(entry);
-        id
-    }
-
-    pub fn get(&self, id: usize) -> &ClientEntry {
-        &self.entries[id]
-    }
-
-    pub fn get_mut(&mut self, id: usize) -> &mut ClientEntry {
-        &mut self.entries[id]
-    }
-
-    pub fn nonce_to_id(&self, nonce: u64) -> Option<usize> {
-        self.by_nonce.get(&nonce).copied()
-    }
-
-    pub fn entries(&self) -> &[ClientEntry] {
-        &self.entries
-    }
-
-    /// Ids the coordinator still probes: everyone not `Left`, ascending.
-    pub fn probed_ids(&self) -> Vec<usize> {
-        self.entries.iter().filter(|e| e.liveness != Liveness::Left).map(|e| e.id).collect()
-    }
-
-    /// The schedulable pool for `epoch`: `Alive` ∧ available, ascending —
-    /// the coordinator's analogue of
-    /// [`Availability::available_clients`](haccs_sysmodel::Availability).
-    pub fn selectable(&self, epoch: usize, availability: &Availability) -> Vec<usize> {
-        self.entries
-            .iter()
-            .filter(|e| e.liveness == Liveness::Alive && availability.is_available(e.id, epoch))
-            .map(|e| e.id)
-            .collect()
-    }
-
-    /// `(id, summary)` pairs for every non-departed client — the input to
-    /// the §IV-C re-clustering hook. `Suspected` clients are included:
-    /// they may ack their way back into the pool and must stay clustered.
-    pub fn member_summaries(&self) -> Vec<(usize, WireSummary)> {
-        self.entries
-            .iter()
-            .filter(|e| e.liveness != Liveness::Left)
-            .map(|e| (e.id, e.summary.clone()))
-            .collect()
-    }
-
-    /// A heartbeat ack arrived: the miss streak resets and a `Suspected`
-    /// client is restored to `Alive`.
-    pub fn observe_heartbeat(&mut self, id: usize, last_loss: f32) {
-        let e = &mut self.entries[id];
-        if e.liveness == Liveness::Left {
-            return;
-        }
-        e.missed_heartbeats = 0;
-        e.liveness = Liveness::Alive;
-        e.last_loss = Some(last_loss);
-    }
-
-    /// A probe went unanswered (silent client or ack lost on the wire).
-    /// Returns the verdict the policy assigns to the new miss streak.
-    pub fn observe_miss(&mut self, id: usize, policy: &HeartbeatPolicy) -> LivenessVerdict {
-        let e = &mut self.entries[id];
-        if e.liveness == Liveness::Left {
-            return LivenessVerdict::Evicted;
-        }
-        e.missed_heartbeats += 1;
-        let verdict = policy.classify(e.missed_heartbeats);
-        e.liveness = match verdict {
-            LivenessVerdict::Alive => e.liveness,
-            LivenessVerdict::Suspected => Liveness::Suspected,
-            LivenessVerdict::Evicted => Liveness::Left,
-        };
-        verdict
-    }
-
-    /// A graceful `Leave` frame was processed.
-    pub fn observe_leave(&mut self, id: usize) {
-        self.entries[id].liveness = Liveness::Left;
-    }
-
-    /// A `SummaryUpdate` frame was processed: the client's local data
-    /// drifted (§IV-C) and it shipped a fresh summary. Departed clients
-    /// are ignored (a late frame can race a `Leave`).
-    pub fn observe_summary_update(&mut self, id: usize, summary: WireSummary) {
-        let e = &mut self.entries[id];
-        if e.liveness == Liveness::Left {
-            return;
-        }
-        e.summary = summary;
-    }
-}
-
-/// The sharded client registry: entries are partitioned across
-/// [`shard_of`]-hashed shards so per-shard sweeps and partial aggregation
-/// touch only their own slice, while a global id → `(shard, slot)`
-/// locator keeps `get` O(1) and id-ordered iteration cheap.
+/// The coordinator's client registry: every client that ever joined.
+/// Ids are dense and never reused; departed clients stay as `Left`
+/// tombstones. Entries are partitioned across [`shard_of`]-hashed shards
+/// so per-shard sweeps touch only their own slice, while a global id →
+/// `(shard, slot)` locator keeps `get` O(1) and id-ordered iteration
+/// cheap.
 ///
-/// Behavioural contract: every query that [`ClientRegistry`] answers in
-/// ascending-id order ([`Self::probed_ids`], [`Self::selectable`],
-/// [`Self::member_summaries`]) is answered identically here — the shard
-/// layout is invisible to the protocol, which is what keeps the sharded
-/// coordinator core bit-identical to the flat one (pinned by the shard
-/// routing proptests).
+/// Behavioural contract: the cross-shard queries ([`Self::probed_ids`],
+/// [`Self::selectable`], [`Self::member_summaries`], [`Self::entries`])
+/// answer in ascending id order, so the shard count is invisible to the
+/// protocol — `ShardedRegistry::new(1)` and `new(n)` driven by the same
+/// transitions answer identically (pinned by the shard property tests).
 #[derive(Debug)]
 pub struct ShardedRegistry {
     shards: Vec<Vec<ClientEntry>>,
@@ -238,13 +111,8 @@ impl ShardedRegistry {
         self.locator.is_empty()
     }
 
-    /// Reserves the next registry id for a spawning agent.
-    pub fn next_id(&self) -> usize {
-        self.locator.len()
-    }
-
     /// Records a processed `Join` into the entry's hash shard. The entry
-    /// starts `Alive`, exactly like [`ClientRegistry::enroll`].
+    /// starts `Alive`: the frame itself is evidence of liveness.
     pub fn enroll(&mut self, mut entry: ClientEntry) -> usize {
         assert_eq!(entry.id, self.locator.len(), "registry ids must be dense");
         entry.liveness = Liveness::Alive;
@@ -292,8 +160,9 @@ impl ShardedRegistry {
         (0..self.len()).filter(|&id| self.get(id).liveness != Liveness::Left).collect()
     }
 
-    /// The schedulable pool for `epoch`, ascending — identical to
-    /// [`ClientRegistry::selectable`].
+    /// The schedulable pool for `epoch`: `Alive` ∧ available, ascending —
+    /// the coordinator's analogue of
+    /// [`Availability::available_clients`](haccs_sysmodel::Availability).
     pub fn selectable(&self, epoch: usize, availability: &Availability) -> Vec<usize> {
         (0..self.len())
             .filter(|&id| {
@@ -303,7 +172,10 @@ impl ShardedRegistry {
             .collect()
     }
 
-    /// `(id, summary)` pairs for every non-departed client, ascending.
+    /// `(id, summary)` pairs for every non-departed client, ascending —
+    /// the input to the §IV-C re-clustering hook. `Suspected` clients are
+    /// included: they may ack their way back into the pool and must stay
+    /// clustered.
     pub fn member_summaries(&self) -> Vec<(usize, WireSummary)> {
         (0..self.len())
             .filter(|&id| self.get(id).liveness != Liveness::Left)
@@ -311,8 +183,8 @@ impl ShardedRegistry {
             .collect()
     }
 
-    /// A heartbeat ack arrived — same transition as
-    /// [`ClientRegistry::observe_heartbeat`].
+    /// A heartbeat ack arrived: the miss streak resets and a `Suspected`
+    /// client is restored to `Alive`.
     pub fn observe_heartbeat(&mut self, id: usize, last_loss: f32) {
         let e = self.get_mut(id);
         if e.liveness == Liveness::Left {
@@ -323,8 +195,8 @@ impl ShardedRegistry {
         e.last_loss = Some(last_loss);
     }
 
-    /// A probe went unanswered — same transition as
-    /// [`ClientRegistry::observe_miss`].
+    /// A probe went unanswered (silent client or ack lost on the wire).
+    /// Returns the verdict the policy assigns to the new miss streak.
     pub fn observe_miss(&mut self, id: usize, policy: &HeartbeatPolicy) -> LivenessVerdict {
         let e = self.get_mut(id);
         if e.liveness == Liveness::Left {
@@ -345,120 +217,15 @@ impl ShardedRegistry {
         self.get_mut(id).liveness = Liveness::Left;
     }
 
-    /// A `SummaryUpdate` frame was processed — same semantics as
-    /// [`ClientRegistry::observe_summary_update`].
+    /// A `SummaryUpdate` frame was processed: the client's local data
+    /// drifted (§IV-C) and it shipped a fresh summary. Departed clients
+    /// are ignored (a late frame can race a `Leave`).
     pub fn observe_summary_update(&mut self, id: usize, summary: WireSummary) {
         let e = self.get_mut(id);
         if e.liveness == Liveness::Left {
             return;
         }
         e.summary = summary;
-    }
-}
-
-/// The coordinator's registry, erased over its backing layout: the legacy
-/// threaded runtime keeps the flat [`ClientRegistry`] (the parity
-/// reference), the sharded event-loop core a [`ShardedRegistry`]. Every
-/// method answers identically on both — the shard routing proptests pin
-/// this — so callers never see which layout is underneath.
-#[derive(Debug)]
-pub enum Registry {
-    /// Flat single-vector layout (legacy threaded runtime).
-    Flat(ClientRegistry),
-    /// Hash-sharded layout (event-loop core).
-    Sharded(ShardedRegistry),
-}
-
-macro_rules! delegate {
-    ($self:ident, $r:ident => $body:expr) => {
-        match $self {
-            Registry::Flat($r) => $body,
-            Registry::Sharded($r) => $body,
-        }
-    };
-}
-
-impl Registry {
-    /// Number of clients ever enrolled (including `Left` tombstones).
-    pub fn len(&self) -> usize {
-        delegate!(self, r => r.len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        delegate!(self, r => r.is_empty())
-    }
-
-    /// Reserves the next registry id for a spawning agent.
-    pub fn next_id(&self) -> usize {
-        delegate!(self, r => r.next_id())
-    }
-
-    /// Records a processed `Join`; see [`ClientRegistry::enroll`].
-    pub fn enroll(&mut self, entry: ClientEntry) -> usize {
-        delegate!(self, r => r.enroll(entry))
-    }
-
-    pub fn get(&self, id: usize) -> &ClientEntry {
-        delegate!(self, r => r.get(id))
-    }
-
-    pub fn get_mut(&mut self, id: usize) -> &mut ClientEntry {
-        delegate!(self, r => r.get_mut(id))
-    }
-
-    pub fn nonce_to_id(&self, nonce: u64) -> Option<usize> {
-        delegate!(self, r => r.nonce_to_id(nonce))
-    }
-
-    /// Every entry in ascending id order.
-    pub fn entries(&self) -> Vec<&ClientEntry> {
-        match self {
-            Registry::Flat(r) => r.entries().iter().collect(),
-            Registry::Sharded(r) => r.entries(),
-        }
-    }
-
-    /// Shard count of the backing layout (1 for the flat registry).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            Registry::Flat(_) => 1,
-            Registry::Sharded(r) => r.shard_count(),
-        }
-    }
-
-    /// Ids the coordinator still probes: everyone not `Left`, ascending.
-    pub fn probed_ids(&self) -> Vec<usize> {
-        delegate!(self, r => r.probed_ids())
-    }
-
-    /// The schedulable pool for `epoch`: `Alive` ∧ available, ascending.
-    pub fn selectable(&self, epoch: usize, availability: &Availability) -> Vec<usize> {
-        delegate!(self, r => r.selectable(epoch, availability))
-    }
-
-    /// `(id, summary)` pairs for every non-departed client.
-    pub fn member_summaries(&self) -> Vec<(usize, WireSummary)> {
-        delegate!(self, r => r.member_summaries())
-    }
-
-    /// See [`ClientRegistry::observe_heartbeat`].
-    pub fn observe_heartbeat(&mut self, id: usize, last_loss: f32) {
-        delegate!(self, r => r.observe_heartbeat(id, last_loss))
-    }
-
-    /// See [`ClientRegistry::observe_miss`].
-    pub fn observe_miss(&mut self, id: usize, policy: &HeartbeatPolicy) -> LivenessVerdict {
-        delegate!(self, r => r.observe_miss(id, policy))
-    }
-
-    /// See [`ClientRegistry::observe_leave`].
-    pub fn observe_leave(&mut self, id: usize) {
-        delegate!(self, r => r.observe_leave(id))
-    }
-
-    /// See [`ClientRegistry::observe_summary_update`].
-    pub fn observe_summary_update(&mut self, id: usize, summary: WireSummary) {
-        delegate!(self, r => r.observe_summary_update(id, summary))
     }
 }
 
@@ -488,7 +255,7 @@ mod tests {
 
     #[test]
     fn enroll_marks_alive_and_indexes_nonce() {
-        let mut r = ClientRegistry::new();
+        let mut r = ShardedRegistry::new(1);
         let id = r.enroll(entry(0));
         assert_eq!(id, 0);
         assert_eq!(r.get(0).liveness, Liveness::Alive);
@@ -498,7 +265,7 @@ mod tests {
 
     #[test]
     fn miss_streak_walks_suspected_then_left_and_ack_recovers() {
-        let mut r = ClientRegistry::new();
+        let mut r = ShardedRegistry::new(1);
         r.enroll(entry(0));
         let p = HeartbeatPolicy::new(1, 2, 4);
         assert_eq!(r.observe_miss(0, &p), LivenessVerdict::Alive);
@@ -519,31 +286,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_registry_answers_identically_to_flat() {
-        let mut flat = ClientRegistry::new();
+    fn sharded_registry_answers_identically_to_single_shard() {
+        let mut single = ShardedRegistry::new(1);
         let mut sharded = ShardedRegistry::new(4);
         for id in 0..13 {
-            flat.enroll(entry(id));
+            single.enroll(entry(id));
             sharded.enroll(entry(id));
         }
         let p = HeartbeatPolicy::new(1, 1, 3);
-        flat.observe_miss(3, &p);
+        single.observe_miss(3, &p);
         sharded.observe_miss(3, &p);
-        flat.observe_leave(7);
+        single.observe_leave(7);
         sharded.observe_leave(7);
-        flat.observe_heartbeat(5, 0.25);
+        single.observe_heartbeat(5, 0.25);
         sharded.observe_heartbeat(5, 0.25);
 
-        assert_eq!(flat.len(), sharded.len());
-        assert_eq!(flat.probed_ids(), sharded.probed_ids());
+        assert_eq!(single.len(), sharded.len());
+        assert_eq!(single.probed_ids(), sharded.probed_ids());
         let avail = Availability::AlwaysOn;
-        assert_eq!(flat.selectable(0, &avail), sharded.selectable(0, &avail));
-        let fm: Vec<usize> = flat.member_summaries().iter().map(|(id, _)| *id).collect();
+        assert_eq!(single.selectable(0, &avail), sharded.selectable(0, &avail));
+        let fm: Vec<usize> = single.member_summaries().iter().map(|(id, _)| *id).collect();
         let sm: Vec<usize> = sharded.member_summaries().iter().map(|(id, _)| *id).collect();
         assert_eq!(fm, sm);
         for id in 0..13 {
-            assert_eq!(flat.get(id).liveness, sharded.get(id).liveness, "client {id}");
-            assert_eq!(flat.get(id).last_loss, sharded.get(id).last_loss);
+            assert_eq!(single.get(id).liveness, sharded.get(id).liveness, "client {id}");
+            assert_eq!(single.get(id).last_loss, sharded.get(id).last_loss);
         }
         // per-shard views cover the id space exactly once, ascending
         let mut cover: Vec<usize> =
@@ -559,7 +326,7 @@ mod tests {
 
     #[test]
     fn selectable_excludes_suspected_and_left_but_probes_suspected() {
-        let mut r = ClientRegistry::new();
+        let mut r = ShardedRegistry::new(1);
         for id in 0..3 {
             r.enroll(entry(id));
         }

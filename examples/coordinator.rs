@@ -1,5 +1,5 @@
 //! Coordinator runtime demo: a federated run driven entirely by wire
-//! messages between the server and one agent thread per device — with a
+//! messages between the server and one agent per device — with a
 //! device joining mid-training and another leaving gracefully, both
 //! absorbed by HACCS re-clustering (§IV-C).
 //!

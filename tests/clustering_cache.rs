@@ -12,13 +12,15 @@
 //! 2. the loop engine: [`engine_add_client`] /
 //!    [`engine_replace_client_data`] keep the shared cache in lockstep
 //!    with [`FedSim`] membership,
-//! 3. the coordinator: a cached-hook run and a full-rebuild-hook run of
-//!    the message-driven runtime stay bit-identical round by round
-//!    under joins, scripted leaves and summary drift.
+//! 3. the coordinator: a run with the production re-clustering hook and
+//!    a run with a test-local full-rebuild hook of the message-driven
+//!    runtime stay bit-identical round by round under joins, scripted
+//!    leaves and summary drift.
 
 use haccs::fedsim::engine::ModelFactory;
 use haccs::prelude::*;
-use haccs::scheduler::{client_summary_seed, summary_to_wire};
+use haccs::scheduler::{client_summary_seed, cluster_wire_summaries, summary_to_wire};
+use haccs::wire::WireSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -172,7 +174,7 @@ fn engine_glue_keeps_cache_and_fedsim_in_lockstep() {
 }
 
 // ---------------------------------------------------------------------
-// coordinator parity: cached hook vs full-rebuild hook, same seed
+// coordinator parity: production hook vs full-rebuild hook, same seed
 // ---------------------------------------------------------------------
 
 fn build_coordinator(
@@ -202,7 +204,17 @@ fn build_coordinator(
     if incremental {
         coord.with_haccs_reclustering(2, ExtractionMethod::Auto)
     } else {
-        coord.with_haccs_full_reclustering(2, ExtractionMethod::Auto)
+        // the oracle: recompute the whole distance matrix and rerun
+        // OPTICS from scratch on every membership change
+        coord.with_recluster_hook(
+            move |sel: &mut HaccsSelector, entries: &[(usize, WireSummary)]| {
+                let groups =
+                    cluster_wire_summaries(&summarizer, entries, 2, ExtractionMethod::Auto);
+                if !groups.is_empty() {
+                    sel.recluster(groups);
+                }
+            },
+        )
     }
 }
 

@@ -5,7 +5,7 @@
 //! uninterrupted run — under fault schedules, deadline policies, HACCS
 //! re-clustering, and dynamic membership (a scripted mid-training leave).
 
-use haccs::coord::{haccs_cached_recluster_hook, Coordinator};
+use haccs::coord::{haccs_recluster_hook, Coordinator};
 use haccs::fedsim::engine::ModelFactory;
 use haccs::prelude::*;
 use haccs::sysmodel::HeartbeatPolicy;
@@ -49,7 +49,7 @@ fn build_haccs_coord(
     .with_policy(policy)
     .with_heartbeat(HeartbeatPolicy::new(1, 3, 6))
     .with_summarizer(Summarizer::label_dist())
-    .with_recluster_hook(haccs_cached_recluster_hook(
+    .with_recluster_hook(haccs_recluster_hook(
         Summarizer::label_dist(),
         2,
         ExtractionMethod::Auto,
@@ -224,7 +224,7 @@ mod socket {
             HaccsSelector::new(provisional, 0.5, "P(y)"),
         )
         .with_summarizer(Summarizer::label_dist())
-        .with_recluster_hook(haccs_cached_recluster_hook(
+        .with_recluster_hook(haccs_recluster_hook(
             Summarizer::label_dist(),
             2,
             ExtractionMethod::Auto,

@@ -1,24 +1,19 @@
-//! Property-based tests for the sharded coordinator core: shard routing,
-//! hierarchical aggregation and per-shard liveness sweeps.
+//! Property-based tests for the sharded coordinator core: shard routing
+//! and per-shard liveness sweeps.
 //!
-//! Three families, mirroring the invariants `tests/sharded_parity.rs`
+//! Two families, mirroring the invariants `tests/sharded_parity.rs`
 //! observes end-to-end:
 //!
 //! 1. **Routing** — `shard_of` is pure and in range, and a client's shard
 //!    assignment never moves under churn (joins, leaves): ids are dense
 //!    and never reused, so `shard_of(id, n_shards)` is fixed for the
 //!    lifetime of the run.
-//! 2. **Aggregation** — `ShardedAggregator`'s per-shard-buffer merge is
-//!    bit-identical to the flat `RoundAccumulator::fedavg` reduction for
-//!    *any* shard count, random weights and random parameter vectors
-//!    (float addition is non-associative; the merge must replay the flat
-//!    summation order exactly, not just be mathematically equal).
-//! 3. **Liveness** — a sharded registry driven by the same transition
-//!    stream as a flat one answers identically everywhere, and the
-//!    per-shard probe cover re-sorted to id order equals the flat sweep.
+//! 2. **Liveness** — an n-shard registry driven by the same transition
+//!    stream as a single-shard one answers identically everywhere, and
+//!    the per-shard probe cover re-sorted to id order equals the
+//!    single-shard sweep.
 
-use haccs::coord::{shard_of, ClientEntry, Liveness, Registry, ShardedAggregator, ShardedRegistry};
-use haccs::fedsim::round::{PendingUpdate, RoundAccumulator};
+use haccs::coord::{shard_of, ClientEntry, Liveness, ShardedRegistry};
 use haccs::prelude::*;
 use haccs::sysmodel::HeartbeatPolicy;
 use haccs::wire::{ResourceEstimate, WireSummary};
@@ -47,9 +42,9 @@ fn entry(id: usize) -> ClientEntry {
     }
 }
 
-/// One liveness transition, id-addressed, identical against either
-/// registry backend (the coordinator applies them in flat id order).
-fn apply(reg: &mut Registry, id: usize, op: u8, policy: &HeartbeatPolicy) {
+/// One liveness transition, id-addressed, identical against any shard
+/// count (the coordinator applies them in ascending id order).
+fn apply(reg: &mut ShardedRegistry, id: usize, op: u8, policy: &HeartbeatPolicy) {
     match op {
         0 => reg.observe_heartbeat(id, 0.5),
         1 => {
@@ -97,39 +92,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_merge_is_bit_identical_to_flat_fedavg(
-        seed in any::<u64>(),
-        n_updates in 0usize..24,
-        dim in 1usize..48,
-        n_shards in 1usize..32,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut acc = RoundAccumulator::new(None);
-        for _ in 0..n_updates {
-            acc.updates.push(PendingUpdate {
-                id: rng.gen_range(0..512usize),
-                params: (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect(),
-                loss: rng.gen_range(0.0f32..4.0),
-                n_train: rng.gen_range(1..200usize),
-            });
-        }
-        let init: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-
-        let mut flat = init.clone();
-        acc.fedavg(&mut flat);
-        let mut sharded = init.clone();
-        let agg = ShardedAggregator::from_admissions(&acc.updates, n_shards);
-        prop_assert_eq!(agg.len(), acc.updates.len());
-        agg.merge_into(&mut sharded);
-
-        prop_assert_eq!(
-            flat.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            sharded.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            "hierarchical merge diverged from flat fedavg at {} shards", n_shards
-        );
-    }
-
-    #[test]
     fn per_shard_liveness_sweep_equals_flat(
         seed in any::<u64>(),
         n in 1usize..80,
@@ -137,8 +99,8 @@ proptest! {
         rounds in 1usize..12,
     ) {
         let policy = HeartbeatPolicy::new(1, 2, 4);
-        let mut flat = Registry::Flat(haccs::coord::ClientRegistry::new());
-        let mut sharded = Registry::Sharded(ShardedRegistry::new(n_shards));
+        let mut flat = ShardedRegistry::new(1);
+        let mut sharded = ShardedRegistry::new(n_shards);
         for id in 0..n {
             flat.enroll(entry(id));
             sharded.enroll(entry(id));
@@ -153,10 +115,9 @@ proptest! {
             }
 
             // per-shard probe cover, restored to id order, equals the
-            // flat sweep — the coordinator's probe_targets() path
-            let Registry::Sharded(s) = &sharded else { unreachable!() };
+            // single-shard sweep — the coordinator's probe_targets() path
             let mut cover: Vec<usize> =
-                (0..n_shards).flat_map(|sh| s.probed_ids_in_shard(sh)).collect();
+                (0..n_shards).flat_map(|sh| sharded.probed_ids_in_shard(sh)).collect();
             cover.sort_unstable();
             prop_assert_eq!(&cover, &flat.probed_ids());
 
